@@ -87,9 +87,8 @@ class SparkWorker:
 class SparkCluster:
     """Workers plus the fabric, QPs and the job driver.
 
-    ``arraycore``/``coalesce`` route the transport hot path through the
-    scale tier (:mod:`repro.ib.transport.arraycore`, bulk fabric
-    booking) under its exact-or-decline contract — simulated results are
+    ``coalesce`` picks the executor (see :class:`Cluster`): the fast
+    path (the default) or the object path.  Simulated results are
     bit-identical either way (tested); only wall-clock changes.
     ``record_completions`` captures every work completion as
     ``(wr_id, completed_at, status)`` in :attr:`completions`, the
@@ -99,15 +98,15 @@ class SparkCluster:
     def __init__(self, workers: int = 2, total_qps: int = 64,
                  device: str = "ConnectX-4",
                  env: Optional[Dict[str, str]] = None, seed: int = 0,
-                 arraycore: bool = False, coalesce: Optional[bool] = None,
-                 record_completions: bool = False):
+                 coalesce: bool = True, record_completions: bool = False):
         if workers < 2:
             raise ValueError("shuffles need at least two workers")
         # Fresh wr_id stream per cluster, mirroring Cluster's packet
         # serial reset: back-to-back runs (and fleet groups run in any
         # process) record byte-identical completion wr_ids.
         reset_wr_ids()
-        self.fabric = Cluster(device=device, nodes=workers, seed=seed)
+        self.fabric = Cluster(device=device, nodes=workers, seed=seed,
+                              coalesce=coalesce)
         self.sim = self.fabric.sim
         self.env = dict(env or {})
         self.completions: List[Tuple[int, int, str]] = []
@@ -126,14 +125,6 @@ class SparkCluster:
                 connect_endpoints(ep_a, ep_b)
                 a.endpoints[b_rank].append(ep_a)
                 b.endpoints[a_rank].append(ep_b)
-        if coalesce is not None:
-            for node in self.fabric.nodes:
-                node.rnic.coalesce = bool(coalesce)
-        if arraycore:
-            capacity = 2 * max(1, total_qps) + 8
-            for node in self.fabric.nodes:
-                node.rnic.enable_arraycore(capacity=capacity)
-            self.fabric.network.enable_bulk()
         if record_completions:
             for worker in self.workers:
                 self._record_cq(worker.ucx)

@@ -60,8 +60,8 @@ class SparkFleetConfig:
     paper-fitted stall calibrate the run; ``qps`` overrides the cell's
     QP count (the whole point); ``num_groups`` is the fan-out;
     ``scale`` divides the fitted cold-page budget for test-sized runs
-    (1 = the real fit).  ``arraycore``/``coalesce`` default on — the
-    fleet path exists for scale, and both are bit-identical knobs.
+    (1 = the real fit).  ``coalesce`` (the fast path) defaults on, as
+    everywhere; results are bit-identical either way.
     """
 
     workload: str = "SparkTC"
@@ -71,7 +71,6 @@ class SparkFleetConfig:
     shards: int = 1
     seed: int = 0
     scale: int = 1
-    arraycore: bool = True
     coalesce: bool = True
     telemetry: Any = field(default=None, compare=False, repr=False)
 
@@ -182,7 +181,6 @@ def _run_spark_group(spec: GroupSpec, base_config: SparkFleetConfig,
     # Distinct private streams per group *and* per phase: 2s / 2s+1
     # never collide across groups (group seeds are consecutive).
     knobs = dict(total_qps=spec.num_qps, cold_pages=cold, fetches=fetches,
-                 arraycore=base_config.arraycore,
                  coalesce=base_config.coalesce)
     disable = _run_once(cell, odp_enabled=False, seed=2 * spec.seed,
                         telemetry=telemetry, **knobs)

@@ -95,25 +95,21 @@ class MicrobenchConfig:
     #: posting loop spaces operations by this much, which determines how
     #: far apart two posts to the *same* QP land when many QPs are used.
     post_overhead_ns: int = 300
-    #: Steady-state storm coalescing: fast-forward provably-periodic
-    #: retransmission rounds as macro-events.  Exact by construction —
-    #: every reported metric is bit-identical with it off — so it
-    #: defaults on; it self-disables per QP pair whenever a capture tap
-    #: or loss rule is armed for that traffic.
+    #: The executor switch.  On (the default) runs the fast path:
+    #: provably-periodic retransmission rounds fast-forward as
+    #: macro-events (storm coalescer), per-QP transport state mirrors
+    #: into numpy tables (array core) and whole fleets of quiet rounds
+    #: cross the fabric in closed form (bulk delivery).  Off runs the
+    #: object path, the reference executor.  Exact by construction —
+    #: every reported metric is bit-identical either way — and the
+    #: fast path self-disables per QP pair whenever a capture tap or
+    #: loss rule is armed for that traffic.
     coalesce: bool = True
-    #: Array-native hot core: mirror per-QP transport state into
-    #: preallocated numpy arrays (vectorized retransmit-load reductions)
-    #: and fast-forward whole fleets of provably-quiet retransmission
-    #: rounds through the fabric's closed-form batched-delivery path.
-    #: Exact by construction — every reported metric is bit-identical
-    #: with it off — but it defaults off so the object path stays the
-    #: reference executor and numpy stays optional.
-    arraycore: bool = False
     #: ODP-pitfall countermeasure strategy, by registry name (see
     #: :mod:`repro.mitigate`).  ``"none"`` (the default) resolves to no
     #: strategy object at all and is bit-identical to the baseline.  A
-    #: strategy incompatible with the coalescer/arraycore fast paths
-    #: declines them to the scalar path with a tally in the result's
+    #: strategy incompatible with the fast path declines it to the
+    #: object path with a tally in the result's
     #: ``mitigation_fallbacks`` — never a silent behaviour change.
     mitigation: str = "none"
     #: Fleet decomposition: run the workload as this many independent
@@ -179,12 +175,12 @@ class MicrobenchResult:
     #: bit-identical.
     coalesced_rounds: int = 0
     events_coalesced: int = 0
-    #: Fast paths the mitigation strategy declined (``"arraycore"``: the
-    #: table was requested but the strategy is incompatible;
-    #: ``"coalesce"``: rounds the coalescer declined for the strategy).
+    #: Fast paths the mitigation strategy declined (``"coalesce"``: the
+    #: fast path was requested but the strategy is incompatible, so the
+    #: run took the object path; fleets sum one per group).
     #: Execution-shape bookkeeping like ``coalesced_rounds`` — not a
-    #: reported metric, and legitimately differs across fast-path knobs
-    #: while everything above is bit-identical.
+    #: reported metric, and legitimately differs across ``coalesce``
+    #: settings while everything above is bit-identical.
     mitigation_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -231,8 +227,17 @@ def run_microbench(config: MicrobenchConfig,
                 "repro.experiments.shard.run_fleet collect flags instead")
         from repro.experiments.shard import run_fleet
         return run_fleet(config).result
+    from repro.mitigate import resolve_strategy
+    strategy = resolve_strategy(config.mitigation)
+    fallbacks: Dict[str, int] = {}
+    coalesce = config.coalesce
+    if coalesce and strategy is not None \
+            and not strategy.coalesce_compatible:
+        # Decline the fast path, tallied — never silently change results.
+        coalesce = False
+        fallbacks["coalesce"] = 1
     cluster = build_pair(device=config.device, seed=config.seed,
-                         profile=config.profile)
+                         profile=config.profile, coalesce=coalesce)
     if on_cluster is not None:
         on_cluster(cluster)
     if config.telemetry is not None:
@@ -242,25 +247,10 @@ def run_microbench(config: MicrobenchConfig,
     if not config.integrity:
         for node in cluster.nodes:
             node.rnic.lazy_payloads = True
-    for node in cluster.nodes:
-        node.rnic.coalesce = config.coalesce
-    from repro.mitigate import resolve_strategy
-    strategy = resolve_strategy(config.mitigation)
-    fallbacks: Dict[str, int] = {}
     if strategy is not None:
         # Installed before QP creation: QPs snapshot the device default.
         for node in cluster.nodes:
             node.rnic.mitigation = strategy
-    use_arraycore = config.arraycore
-    if use_arraycore and strategy is not None \
-            and not strategy.arraycore_compatible:
-        # Decline the fast path, tallied — never silently change results.
-        use_arraycore = False
-        fallbacks["arraycore"] = 1
-    if use_arraycore:
-        for node in cluster.nodes:
-            node.rnic.enable_arraycore(capacity=2 * config.num_qps + 4)
-        cluster.network.enable_bulk()
 
     client_rnic = client_node.rnic
     server_rnic = server_node.rnic
@@ -368,10 +358,6 @@ def run_microbench(config: MicrobenchConfig,
                            f"(pending events: {sim.pending_events()})")
     _ = proc.result  # surface exceptions
 
-    declined = sum(qp.coalescer.decline_reasons.get("mitigation", 0)
-                   for qp in client_qps)
-    if declined:
-        fallbacks["coalesce"] = declined
     timeouts = sum(qp.requester.timeouts for qp in client_qps)
     errors = sum(1 for _wr, _t, status in completions if status.is_error)
     integrity_errors = 0

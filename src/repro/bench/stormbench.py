@@ -1,18 +1,19 @@
-"""Storm-coalescing benchmark: closed-form fast-forward vs per-packet.
+"""Storm-coalescing benchmark: the fast path vs the per-packet path.
 
 The fig09 flood points spend almost all of their simulated time inside
-steady-state RNR/retransmit storms: every round of a stale QP replays
-the same request burst, the same NAK, and the same re-arm timer, only
-shifted in time.  The :class:`~repro.ib.transport.coalesce.StormCoalescer`
+steady-state blind-retransmit storms: every round of a stale QP replays
+the same request burst, the same discards, and the same re-arm timer,
+only shifted in time.  The :class:`~repro.ib.transport.coalesce.StormCoalescer`
 recognises such rounds and applies them as one macro-event — bulk
 counters, link occupancy, timer jump — under an *exact or decline*
 contract: every reported metric stays bit-identical to the per-packet
 run, enforced here on every workload.
 
 This bench wall-clocks fig09-shaped client-ODP flood points twice, with
-``coalesce=False`` (the per-packet path) and ``coalesce=True``, and
-reports the speedup plus the coalescer's decline tally (which reasons
-forced real rounds, and how often).
+``coalesce=False`` (the object path) and ``coalesce=True`` (the fast
+path: coalescer, array core and bulk delivery), and reports the
+speedup plus the coalescer's decline tally (which reasons forced real
+rounds, and how often).
 
 Run ``python -m repro.bench.stormbench`` from the repo root; it writes
 ``BENCH_storm.json`` (see the README's Performance section).  Use

@@ -83,7 +83,7 @@ class Cluster:
     def __init__(self, sim: Optional[Simulator] = None,
                  device: str = "ConnectX-4", nodes: int = 2,
                  profile: Optional[DeviceProfile] = None,
-                 seed: int = 0):
+                 seed: int = 0, coalesce: bool = True):
         # Every experiment builds a fresh cluster, so restarting the
         # packet serial numbering here makes traces from back-to-back
         # runs in one process byte-for-byte comparable.  Verb object
@@ -95,6 +95,14 @@ class Cluster:
         self.sim = sim if sim is not None else Simulator(seed=seed)
         self.profile = profile if profile is not None else get_device(device)
         self.network = Network(self.sim, rate=self.profile.rate)
+        #: The executor switch.  Off runs the object path, the reference
+        #: every fast-path result is checked against.  On runs the one
+        #: fast path on every node: the storm coalescer, the array-native
+        #: hot core and the fabric's bulk delivery, armed together.  Both
+        #: report bit-identical metrics; only wall clock differs.
+        self.coalesce = coalesce
+        if coalesce:
+            self.network.enable_bulk()
         #: tenant name -> repro.chaos.plan.TenantScope, registered by
         #: the service tier so chaos plans can target one tenant.
         self.tenant_scopes: dict = {}
@@ -115,6 +123,8 @@ class Cluster:
         """Attach one more node to the fabric."""
         lid = len(self.nodes) + 1
         node = Node(self.sim, name, lid, self.profile, self.network)
+        if self.coalesce:
+            node.rnic.enable_fast_path()
         self.nodes.append(node)
         return node
 
@@ -198,6 +208,8 @@ class Cluster:
 
 
 def build_pair(device: str = "ConnectX-4", seed: int = 0,
-               profile: Optional[DeviceProfile] = None) -> Cluster:
+               profile: Optional[DeviceProfile] = None,
+               coalesce: bool = True) -> Cluster:
     """The two-node setup used by most of the paper's experiments."""
-    return Cluster(device=device, nodes=2, seed=seed, profile=profile)
+    return Cluster(device=device, nodes=2, seed=seed, profile=profile,
+                   coalesce=coalesce)

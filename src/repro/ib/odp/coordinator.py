@@ -403,7 +403,7 @@ class OdpCoordinator:
             # every stale QP, in deep floods.
             pending = len(qp.requester.wqes)
             # send_window() inlined (strategy BDP bound over the verbs
-            # depth); BDP-bounded strategies are arraycore-incompatible,
+            # depth); BDP-bounded strategies are fast-path-incompatible,
             # so this object walk is the only path that sees them.
             cap = qp.attrs.max_rd_atomic
             m = qp.mitigation

@@ -16,6 +16,7 @@ from repro.ib.odp.coordinator import OdpCoordinator
 from repro.ib.odp.status_engine import PageStatusEngine
 from repro.ib.odp.translation import NicTranslationTable
 from repro.ib.packets import Packet
+from repro.ib.transport.arraycore import ArrayCore
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,13 +47,6 @@ class Rnic:
         #: *sizes* are what the wire model consumes); integrity checks
         #: need real bytes, so tests leave this False.
         self.lazy_payloads = False
-        #: Steady-state storm coalescing: allow this device's QPs to
-        #: fast-forward provably-periodic retransmission rounds as
-        #: macro-events (both ends must allow it).  Exact by
-        #: construction — a round is synthesised only when every one of
-        #: its packets takes a known path and nothing can interleave —
-        #: so metrics are bit-identical either way.
-        self.coalesce = True
         #: Active ODP-pitfall countermeasure
         #: (:class:`repro.mitigate.MitigationStrategy`) or None for the
         #: baseline.  QPs snapshot it at creation; None keeps every hot
@@ -88,9 +82,10 @@ class Rnic:
         #: single None check is the entire disabled-mode cost and QPs
         #: rebuilt by ``to_reset`` stay instrumented.
         self.telemetry = None
-        #: Array-native hot core (``enable_arraycore``): dense per-QP
-        #: transport state that turns O(QPs) aggregate walks into
-        #: vectorized reductions.  None = pure object core; a single
+        #: Array-native hot core, armed by :meth:`enable_fast_path`:
+        #: dense per-QP transport state that turns O(QPs) aggregate
+        #: walks into vectorized reductions.  Its presence is the
+        #: device's fast-path flag; None = the object path, and a single
         #: None check is the entire disabled-mode cost.
         self.arraycore = None
 
@@ -105,24 +100,21 @@ class Rnic:
         self._qps[qpn] = qp
         return qpn
 
-    def enable_arraycore(self, capacity: int = 256):
-        """Switch this device to the array-native hot core.
+    def enable_fast_path(self) -> None:
+        """Arm the fast path on this device, before any QP exists.
 
-        Idempotent.  Existing QPs are registered immediately; QPs
-        created later register themselves in ``QueuePair.__init__``.
-        Per-QP aggregate walks (``OdpCoordinator.retransmit_load``)
-        dispatch to the table from the next query on, and the storm
-        coalescer's fleet fast-forward (armed fabric-side by
-        ``Network.enable_bulk``) requires the table for its batched
-        eligibility scans.
+        Called by ``Cluster(coalesce=True)``.  QPs register in the array
+        core as they are created (``QueuePair.__init__``) and the table
+        grows as they do.  Per-QP aggregate walks
+        (``OdpCoordinator.retransmit_load``) dispatch to the table, and
+        this device's QPs may fast-forward provably-periodic
+        retransmission rounds as macro-events (both ends must allow it;
+        the fleet sweeps also need ``Network.enable_bulk``).  Exact by
+        construction — a round is synthesised only when every one of its
+        packets takes a known path and nothing can interleave — so
+        metrics are bit-identical either way.
         """
-        if self.arraycore is None:
-            from repro.ib.transport.arraycore import ArrayCore
-            self.arraycore = ArrayCore(
-                self, capacity=max(capacity, 2 * len(self._qps), 1))
-            for qp in self._qps.values():
-                qp.ac_slot = self.arraycore.register(qp)
-        return self.arraycore
+        self.arraycore = ArrayCore(self)
 
     def register_mr(self, mr: "MemoryRegion") -> None:
         """Make an MR reachable by its rkey."""

@@ -1,14 +1,13 @@
 """Steady-state storm coalescing: closed-form fast-forward of flood rounds.
 
 The packet flood of Section VI is *literally periodic*: a stale QP
-retransmits its READ window every blind tick (client-side ODP) or after
-every RNR delay (server-side ODP), and every packet of the round is
-discarded, duplicated, or NAKed in exactly the same way until the ODP
-status engine finally refreshes the QP's view.  Simulating hundreds of
-simulated seconds of that loop one packet event at a time is what makes
-the fig09 sweep the repository's wall-clock bottleneck; NP-RDMA and
-Psistakis et al. model the same fault-service windows in closed form,
-and so can the simulator.
+retransmits its READ window every blind tick (client-side ODP), and
+every packet of the round is discarded or duplicated in exactly the
+same way until the ODP status engine finally refreshes the QP's view.
+Simulating hundreds of simulated seconds of that loop one packet event
+at a time is what makes the fig09 sweep the repository's wall-clock
+bottleneck; NP-RDMA and Psistakis et al. model the same fault-service
+windows in closed form, and so can the simulator.
 
 A :class:`StormCoalescer` hangs off every QP.  When the requester is
 about to replay a storm round it asks the coalescer first; the coalescer
@@ -57,9 +56,10 @@ from bisect import insort
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.ib.opcodes import Opcode, Syndrome
+from repro.ib.opcodes import Opcode
 from repro.ib.packets import (AETH_BYTES, BASE_HEADER_BYTES, RETH_BYTES,
                               advance_packet_serials)
+from repro.ib.transport.arraycore import cascade_times
 from repro.ib.transport.psn import psn_add, psn_diff
 from repro.ib.transport.responder import Responder
 from repro.ib.verbs.enums import Access, QpState
@@ -76,15 +76,10 @@ _NAK_WIRE = BASE_HEADER_BYTES + AETH_BYTES
 #: arrival, switch forward, downlink arrival, rx dispatch.
 _EVENTS_PER_PACKET = 5
 
-# Vectorized cascade arithmetic (array-native hot core): numpy prefix
-# sums beat the scalar scan once a batch is large enough to amortise
-# array setup; below the threshold (solo rounds are <= the READ window)
-# the Python loop wins.  Gated so the object core never needs numpy.
-try:
-    from repro.ib.transport.arraycore import cascade_times as _cascade_times
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _cascade_times = None
-
+#: Vectorized cascade arithmetic (array-native hot core): numpy prefix
+#: sums beat the scalar scan once a batch is large enough to amortise
+#: array setup; below this size (solo rounds are <= the READ window)
+#: the Python loop wins.
 _VECTOR_MIN = 64
 
 #: Requester state constants, resolved once on first use: the requester
@@ -145,8 +140,6 @@ class StormCoalescer:
         self.sim = qp.rnic.sim
         #: Blind (client-side ODP) rounds applied in closed form.
         self.blind_rounds = 0
-        #: RNR-recovery (server-side ODP) rounds applied in closed form.
-        self.rnr_rounds = 0
         #: Rounds declined by an eligibility check (fell back to the
         #: real per-packet path).
         self.declined_rounds = 0
@@ -205,7 +198,7 @@ class StormCoalescer:
     @property
     def rounds_coalesced(self) -> int:
         """Total storm rounds applied as macro-events."""
-        return self.blind_rounds + self.rnr_rounds
+        return self.blind_rounds
 
     def note_stall(self, waited_ns: int) -> None:
         """Record a pure damming stall (timeout with no progress)."""
@@ -224,24 +217,16 @@ class StormCoalescer:
     # ------------------------------------------------------------------
 
     def _peer(self):
-        """(network, peer rnic, peer QP) when both ends allow coalescing
+        """(network, peer rnic, peer QP) when both ends run the fast path
         and no observer forces this pair onto the per-packet path."""
         qp = self.qp
         rnic = qp.rnic
-        # Either fast-forward machinery enables macro-events: the PR 3
-        # coalesce flag or the array-native hot core (both synthesise
-        # the identical closed form, so mixing modes stays exact).
-        # Arraycore tests first: when it is armed, both coalesce
-        # settings short-circuit after one attribute load, so stacking
-        # the coalesce flag on the array core costs nothing per call at
-        # any fleet scale (scalebench gates the paired ratio).
-        if rnic.arraycore is None and not rnic.coalesce:
+        # The array core's presence is a device's fast-path flag.
+        if rnic.arraycore is None:
             return None
         network = rnic.network
         peer_rnic = network.devices.get(qp.remote_lid)
-        if peer_rnic is None or (
-                getattr(peer_rnic, "arraycore", None) is None
-                and not getattr(peer_rnic, "coalesce", False)):
+        if peer_rnic is None or peer_rnic.arraycore is None:
             return None
         if network.requires_real(rnic.lid, qp.remote_lid):
             return None
@@ -307,9 +292,9 @@ class StormCoalescer:
         integer recurrences as prefix-sum/running-max array operations,
         bit-identical by construction (and by test).
         """
-        if _cascade_times is not None and len(enq) >= _VECTOR_MIN:
-            return _cascade_times(enq, wires, tx_ns, up, down,
-                                  forward_ns, rx_ns)
+        if len(enq) >= _VECTOR_MIN:
+            return cascade_times(enq, wires, tx_ns, up, down, forward_ns,
+                                 rx_ns)
         drains: List[int] = []
         dispatches: List[int] = []
         busy_up = up._busy_until  # noqa: SLF001 - closed-form replay
@@ -434,7 +419,7 @@ class StormCoalescer:
         return True
 
     # ------------------------------------------------------------------
-    # Type A: client-side ODP blind-retransmit round
+    # Client-side ODP blind-retransmit round
     # ------------------------------------------------------------------
 
     def coalesce_blind_round(self) -> bool:
@@ -928,9 +913,8 @@ class StormCoalescer:
             return False
         remote_lid = qp.remote_lid
         peer_rnic = network.devices.get(remote_lid)
-        if peer_rnic is None or not peer_rnic.lazy_payloads or not (
-                getattr(peer_rnic, "coalesce", False)
-                or getattr(peer_rnic, "arraycore", None) is not None):
+        if peer_rnic is None or not peer_rnic.lazy_payloads \
+                or peer_rnic.arraycore is None:
             return False
         # Pre-classify the horizon's ready batch: collect the blind
         # ticks, skip provably inert fault-raise timers (they stay
@@ -1653,180 +1637,3 @@ class StormCoalescer:
         rows.extend(request_rows[i:])
         rows.extend(response_rows[j:])
         return rows
-
-    # ------------------------------------------------------------------
-    # Type B: server-side ODP RNR-recovery round
-    # ------------------------------------------------------------------
-
-    def coalesce_rnr_round(self) -> bool:
-        """Synthesise one RNR recovery round (Figure 1, left): the READ
-        window replays, the head request finds the server pages still
-        unmapped and earns a delayed RNR NAK, the tail is swallowed by
-        the outstanding sequence-NAK state, and the client re-enters
-        RNR_WAIT.  Called from ``_rnr_recover`` after the state returned
-        to NORMAL; returns True when applied in closed form."""
-        m = self.qp.mitigation
-        if m is not None and not m.coalesce_compatible:
-            return self._decline("mitigation")  # see coalesce_blind_round
-        peer = self._peer()
-        if peer is None:
-            return False
-        network, peer_rnic, peer_qp = peer
-        qp = self.qp
-        if qp.attrs.rnr_retry != 7:
-            # A finite RNR budget counts every NAK of the cycle and can
-            # abort mid-round; the closed form models the retry-forever
-            # steady state only.
-            return self._decline("finite_rnr_retry")
-        rnic = qp.rnic
-        req = qp.requester
-        emit = self._retransmit_set()
-        if not emit:
-            return self._decline("burst_shape")
-        resp = peer_qp.responder
-        if not resp._seq_nak_outstanding:  # noqa: SLF001
-            # The tail of the burst would draw a sequence NAK and a
-            # fast-recovery retransmission: a real, non-periodic round.
-            return self._decline("seq_nak_not_outstanding")
-        head = emit[0]
-        if psn_diff(head.first_psn, resp.epsn) != 0:
-            return self._decline("head_psn")
-        for wqe in emit[1:]:
-            if psn_diff(wqe.first_psn, resp.epsn) <= 0:
-                return self._decline("tail_psn")
-        # Flaw immunity: every PSN must have been seen before, so the
-        # damming window (armed or not) cannot swallow any of them.
-        for wqe in emit:
-            if not resp._seen(wqe.first_psn):  # noqa: SLF001
-                return self._decline("psn_unseen")
-        hw = head.wr
-        length = hw.local.length
-        rmr = resp._validate(hw.remote.rkey, hw.remote.addr,  # noqa: SLF001
-                             length, Access.REMOTE_READ)
-        if rmr is None or not rmr.mode.is_odp:
-            return self._decline("validate")
-        if peer_rnic.odp.responder_range_ready(rmr, hw.remote.addr, length):
-            return self._decline("server_ready")
-        # The repeat fault must coalesce into already-pending driver
-        # faults (pure counter bump), or the round has real side effects.
-        driver = peer_rnic.driver
-        pending = driver._pending  # noqa: SLF001
-        missing = list(peer_rnic.translation.missing_pages(
-            rmr, hw.remote.addr, length))
-        if not missing or any((rmr.handle, page) not in pending
-                              for page in missing):
-            return self._decline("faults_not_pending")
-        # Closed-form cascade timing: W requests out, one delayed NAK back.
-        sim = self.sim
-        t = sim.now
-        count = len(emit)
-        up_a, down_b, up_b, down_a = self._storm_links(network, peer_rnic)
-        forward_ns = network.switch.forward_ns
-        req_drains, req_disp, up_a_busy, down_b_busy = self._through_fabric(
-            [t] * count, [_REQ_WIRE] * count, rnic.profile.tx_proc_ns,
-            up_a, down_b, forward_ns, peer_rnic.profile.rx_proc_ns)
-        nak_enq = req_disp[0] + peer_rnic.profile.odp_fault_nak_delay_ns
-        nak_drains, nak_disp, up_b_busy, down_a_busy = self._through_fabric(
-            [nak_enq], [_NAK_WIRE], peer_rnic.profile.tx_proc_ns,
-            up_b, down_a, forward_ns, rnic.profile.rx_proc_ns)
-        nak_at = nak_disp[0]
-        span_end = max(req_disp[-1], nak_at)
-        next_transition = rnic.odp.next_transition_at()
-        if next_transition is not None and next_transition <= span_end:
-            return self._decline("page_transition")
-        if not sim.quiet_until(span_end):
-            return self._decline("not_quiet")
-        # The real round arms a transport timeout at t and cancels it
-        # when the NAK lands; its expiry must provably clear the span
-        # for every possible draw — checked *before* consuming the draw.
-        profile = rnic.profile
-        sample_timeout = qp.attrs.cack != 0
-        if sample_timeout:
-            base = round(profile.detection_timeout_ns(qp.attrs.cack)
-                         * rnic.load_stretch())
-            spread = int(base * profile.timeout_jitter)
-            earliest_fire = t + (base - spread if spread > 0 else base)
-            if earliest_fire <= span_end:
-                return self._decline("timeout_in_span")
-
-        # --- Apply ---
-        for wqe in emit:
-            wqe.resp_received = 0
-        req.retransmitted_packets += count
-        # RNG draws in real order: timeout jitter at recovery time...
-        req._cancel_timer()  # noqa: SLF001
-        if sample_timeout:
-            req._sample_timeout()  # noqa: SLF001 - timer cancelled at the NAK
-        client_stats = rnic.stats
-        client_stats["tx_packets"] += count
-        client_stats["tx_retransmissions"] += count
-        client_stats["rx_packets"] += 1
-        server_stats = peer_rnic.stats
-        server_stats["rx_packets"] += count
-        server_stats["tx_packets"] += 1
-        for wqe in emit:
-            resp._note_seen(wqe.first_psn)  # noqa: SLF001
-        peer_rnic.odp.responder_raise_faults(rmr, hw.remote.addr, length)
-        resp._faulted_psns.add(head.first_psn)  # noqa: SLF001
-        resp.rnr_naks_sent += 1
-        server_stats["rnr_naks"] += 1
-        # Synthetic trace rows at exactly the timestamps the real round
-        # would have produced: _send_rnr_nak runs when the replayed head
-        # reaches the responder (req_disp[0]; the NAK packet itself is
-        # delayed further), _on_rnr_nak when the NAK lands (nak_at).
-        # quiet_until(span_end) above proves nothing else can interleave,
-        # so ring order matches the per-packet execution too.
-        peer_tel = peer_rnic.telemetry
-        if peer_tel is not None:
-            peer_tel.instant(req_disp[0], "rnr.nak_sent", peer_rnic.lid,
-                             qp.remote_qpn, head.first_psn)
-        # ...then the RNR delay jitter when the NAK reaches the client.
-        req.rnr_naks_received += 1
-        tel = rnic.telemetry
-        if tel is not None:
-            tel.instant(nak_at, "rnr.nak_recv", rnic.lid, qp.qpn,
-                        head.first_psn)
-        from repro.ib.transport.requester import STATE_RNR_WAIT
-        req.state = STATE_RNR_WAIT
-        configured = (peer_qp.attrs.min_rnr_timer_ns
-                      or qp.attrs.min_rnr_timer_ns)
-        delay = sim.jitter(profile.actual_rnr_delay_ns(configured),
-                           profile.rnr_delay_jitter)
-        req._rnr_timer = sim.schedule_timer(  # noqa: SLF001
-            nak_at + delay - t, req._rnr_recover)  # noqa: SLF001
-        req._ac_deadline("timer_deadline", nak_at + delay)  # noqa: SLF001
-        req_bytes = count * _REQ_WIRE
-        port_a = network.stats[rnic.lid]
-        port_b = network.stats[peer_rnic.lid]
-        port_a.tx_packets += count
-        port_a.tx_bytes += req_bytes
-        port_a.rx_packets += 1
-        port_a.rx_bytes += _NAK_WIRE
-        port_b.tx_packets += 1
-        port_b.tx_bytes += _NAK_WIRE
-        port_b.rx_packets += count
-        port_b.rx_bytes += req_bytes
-        up_a.bulk_occupy(count, req_bytes, up_a_busy)
-        down_b.bulk_occupy(count, req_bytes, down_b_busy)
-        up_b.bulk_occupy(1, _NAK_WIRE, up_b_busy)
-        down_a.bulk_occupy(1, _NAK_WIRE, down_a_busy)
-        network.switch.forwarded += count + 1
-        advance_packet_serials(count + 1)
-        sinks = network.synthetic_sinks(rnic.lid, peer_rnic.lid)
-        if sinks:
-            rows = [(when, rnic.lid, qp.remote_lid, qp.qpn, qp.remote_qpn,
-                     Opcode.RDMA_READ_REQUEST, wqe.first_psn, 0, None, True)
-                    for when, wqe in zip(req_drains, emit)]
-            nak_row = (nak_drains[0], qp.remote_lid, rnic.lid, qp.remote_qpn,
-                       qp.qpn, Opcode.ACKNOWLEDGE, head.first_psn, 0,
-                       Syndrome.RNR_NAK, False)
-            merged = [row for row in rows if row[0] <= nak_row[0]]
-            merged.append(nak_row)
-            merged.extend(row for row in rows if row[0] > nak_row[0])
-            for sink in sinks:
-                sink(merged)
-        # The NAK's delayed _send_response event plus five hops for it,
-        # five per request — the synthesised RNR timer is real either way.
-        sim.note_coalesced(_EVENTS_PER_PACKET * count + 6, span_end - t)
-        self.rnr_rounds += 1
-        return True

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.ib.opcodes import Opcode, Syndrome
 from repro.ib.packets import Aeth, Packet, PayloadRef, Reth
+from repro.ib.transport.arraycore import NO_DEADLINE
 from repro.ib.transport.psn import psn_add, psn_diff
 from repro.ib.verbs.enums import OdpMode, QpState, WcOpcode, WcStatus
 from repro.ib.verbs.wr import WorkCompletion, WorkRequest
@@ -35,11 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 STATE_NORMAL = "normal"
 STATE_RNR_WAIT = "rnr_wait"
 STATE_ODP_WAIT = "odp_wait"
-
-#: "no deadline armed" for the array-core timer columns (must match
-#: ``repro.ib.transport.arraycore.NO_DEADLINE``; kept local so the
-#: object core never imports numpy).
-_NO_DEADLINE = -1
 
 
 class Wqe:
@@ -516,15 +512,10 @@ class Requester:
         if self.state != STATE_RNR_WAIT:
             return
         self.state = STATE_NORMAL
-        # Traced before the coalesce decision: this tick fires at the
-        # same timestamp whether the round is replayed or synthesised.
         tel = self.qp.rnic.telemetry
         if tel is not None:
             tel.instant(self.sim.now, "storm.rnr_round", self.qp.rnic.lid,
                         self.qp.qpn, self.rnr_naks_received)
-        if self.qp.coalescer.coalesce_rnr_round():
-            self._ac_sync()
-            return  # the whole replay->NAK->RNR_WAIT cycle was synthesised
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
         self._ac_sync()
@@ -595,7 +586,8 @@ class Requester:
         if self.state != STATE_ODP_WAIT:
             return
         self.blind_retransmit_rounds += 1
-        # Traced before the coalesce decision (see _rnr_recover).
+        # Traced before the coalesce decision: this tick fires at the
+        # same timestamp whether the round is replayed or synthesised.
         tel = self.qp.rnic.telemetry
         if tel is not None:
             tel.instant(self.sim.now, "storm.blind_round", self.qp.rnic.lid,
@@ -631,7 +623,7 @@ class Requester:
         if self._blind_timer is not None:
             self._blind_timer.cancel()
             self._blind_timer = None
-            self._ac_deadline("blind_deadline", _NO_DEADLINE)
+            self._ac_deadline("blind_deadline", NO_DEADLINE)
         self._retransmit_from_oldest()
         self._ensure_timer(rearm=True)
         self._ac_sync()
@@ -689,7 +681,7 @@ class Requester:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-            self._ac_deadline("timer_deadline", _NO_DEADLINE)
+            self._ac_deadline("timer_deadline", NO_DEADLINE)
 
     def _sample_timeout(self) -> int:
         profile = self.qp.rnic.profile
@@ -745,8 +737,8 @@ class Requester:
         if self._fault_raise_timer is not None:
             self._fault_raise_timer.cancel()
             self._fault_raise_timer = None
-        self._ac_deadline("timer_deadline", _NO_DEADLINE)
-        self._ac_deadline("blind_deadline", _NO_DEADLINE)
+        self._ac_deadline("timer_deadline", NO_DEADLINE)
+        self._ac_deadline("blind_deadline", NO_DEADLINE)
 
     def flush_on_error(self) -> None:
         """ERROR-state entry: flush the send queue with WR_FLUSH_ERR.

@@ -53,12 +53,12 @@ class MitigationStrategy:
 
     name: str
     description: str
-    #: fast-path compatibility: incompatible strategies make the storm
-    #: coalescer decline every round with a tallied ``"mitigation"``
-    #: reason, and the microbench falls back from the array core with a
-    #: ``mitigation_fallbacks["arraycore"]`` tally.
+    #: fast-path compatibility: an incompatible strategy sends the
+    #: microbench to the object path with a
+    #: ``mitigation_fallbacks["coalesce"]`` tally, and makes the storm
+    #: coalescer decline every round of a QP it is installed on with a
+    #: tallied ``"mitigation"`` reason.
     coalesce_compatible: bool = True
-    arraycore_compatible: bool = True
     # --- selective-retransmit (IRN) knobs ---
     #: replace go-back-N with selective repeat at WQE granularity.
     selective: bool = False
@@ -98,10 +98,10 @@ STRATEGIES: Dict[str, MitigationStrategy] = {
             description="IRN-style selective repeat: BDP-bounded window, "
                         "RTO_low instead of the C_ACK detection timeout, "
                         "eager sequence NAKs",
-            # The coalescer's closed forms replay the go-back-N burst
-            # shape; the array core's fleet sweep assumes the same.
+            # The fast path's closed forms replay the go-back-N burst
+            # shape, and the array core's window column ignores the
+            # BDP bound.
             coalesce_compatible=False,
-            arraycore_compatible=False,
             selective=True,
             bdp_packets=4,
             rto_low_ns=320 * US,

@@ -58,12 +58,6 @@ class ServiceCellConfig:
     min_rnr_timer_ns: int = round(1.28 * MS)
     max_rd_atomic: int = 16
     post_overhead_ns: int = 300
-    #: per-packet path by default: the storm coalescer's closed forms
-    #: model one workload's rounds, and cross-tenant link occupancy is
-    #: precisely the effect this tier exists to measure.  The knob stays
-    #: for experiments; the coalescer's exact-or-decline contract holds
-    #: either way.
-    coalesce: bool = False
     #: lazy payloads (no byte copies) — service metrics are timing and
     #: counter based, so the default skips the per-packet copies.
     integrity: bool = False
@@ -208,14 +202,17 @@ class ServiceCell:
         from repro.telemetry import Telemetry
 
         config = self.config
-        cluster = build_pair(device=config.device, seed=config.seed)
+        # Object path: the fast path's closed forms model one
+        # workload's rounds, and cross-tenant link occupancy is
+        # precisely the effect this tier exists to measure.
+        cluster = build_pair(device=config.device, seed=config.seed,
+                             coalesce=False)
         telemetry = Telemetry()
         telemetry.attach(cluster)
         sim = cluster.sim
         client_node, server_node = cluster.nodes
-        for node in cluster.nodes:
-            node.rnic.coalesce = config.coalesce
-            if not config.integrity:
+        if not config.integrity:
+            for node in cluster.nodes:
                 node.rnic.lazy_payloads = True
 
         client_ctx = client_node.open_device()

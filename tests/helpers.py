@@ -21,13 +21,16 @@ def make_connected_pair(
     server_odp: OdpMode = OdpMode.PINNED,
     populate: bool = True,
     profile=None,
+    coalesce: bool = True,
 ):
     """Two nodes, one QP pair, one MR per side, ready for traffic.
 
     Returns ``(cluster, client, server)`` where client/server are simple
-    namespaces with node, qp, cq, mr and buffer region.
+    namespaces with node, qp, cq, mr and buffer region.  ``coalesce``
+    picks the executor: the fast path (default) or the object path.
     """
-    cluster = build_pair(device=device, seed=seed, profile=profile)
+    cluster = build_pair(device=device, seed=seed, profile=profile,
+                         coalesce=coalesce)
     client_node, server_node = cluster.nodes
 
     sides = []
@@ -43,6 +46,19 @@ def make_connected_pair(
     connect_pair(client.qp, server.qp, attrs)
     cluster.sim.run_until_idle()  # flush registration costs
     return cluster, client, server
+
+
+def executor_surface(cluster: Cluster, client, wcs) -> Tuple:
+    """What a pair run reported, for fast-vs-object comparisons: the
+    polled completions with their times and statuses, the fabric packet
+    count, the client RNIC's non-zero stats and the client requester's
+    retry counters."""
+    req = client.qp.requester
+    stats = {key: value for key, value in client.node.rnic.stats.items()
+             if value}
+    return ([(wc.wr_id, wc.completed_at, wc.status) for wc in wcs],
+            cluster.total_packets(), stats, req.timeouts,
+            req.rnr_naks_received, req.retransmitted_packets)
 
 
 class _Side:

@@ -1,11 +1,12 @@
-"""Array-native hot core: bit-identity, fleet batching, and reductions.
+"""Array-native hot core: window-1 identity, fleet batching, reductions.
 
-The contract mirrors the storm coalescer's *exact or decline*: a run
-with ``arraycore=True`` must report every metric bit-identical to the
-object-path run — the structured-array mirror and the fleet
-batched-delivery sweeps only change wall clock.  These tests enforce
-that on Figure 4- and Figure 9-shaped workloads (every ODP mode),
-verify the fleet and its seeded sweeps actually engage on flood shapes,
+The array core is part of the one fast path (``coalesce=True``), whose
+contract is *exact or decline*: every reported metric bit-identical to
+the object-path run — the structured-array mirror and the fleet
+batched-delivery sweeps only change wall clock.  The Figure 4 shape
+and the window-16 Figure 9 shapes live in ``test_storm_coalesce``;
+these tests cover the window-1 flood shapes where the fleet sweeps
+carry the run, verify the fleet and its seeded sweeps actually engage,
 audit the vectorized reductions against the object walk, and pin the
 RNG-stream identity the sweep's inlined jitter relies on.
 """
@@ -18,7 +19,7 @@ import pytest
 from tests.helpers import make_connected_pair  # noqa: F401 - import order
 from repro.bench.microbench import (MicrobenchConfig, OdpSetup,
                                     run_microbench)
-from repro.ib.transport.arraycore import cascade_times
+from repro.ib.transport.arraycore import ArrayCore, cascade_times
 from repro.sim.engine import Simulator
 from repro.sim.timebase import MS
 from repro.telemetry import Telemetry
@@ -37,48 +38,28 @@ def _metrics(result):
     return d
 
 
-def _flood_config(arraycore, num_qps=50, num_ops=512, size=400,
-                  odp=OdpSetup.CLIENT, seed=50, coalesce=False,
-                  telemetry=None):
+def _flood_config(coalesce, num_qps=50, num_ops=512, size=400,
+                  odp=OdpSetup.CLIENT, seed=50, telemetry=None):
     """A Figure 9-shaped flood point at window 1 — the shape where the
     array core's fleet sweeps carry the run."""
     return MicrobenchConfig(size=size, num_ops=num_ops, num_qps=num_qps,
                             odp=odp, cack=14,
                             min_rnr_timer_ns=round(1.28 * MS),
                             integrity=False, seed=seed, max_rd_atomic=1,
-                            coalesce=coalesce, arraycore=arraycore,
-                            telemetry=telemetry)
+                            coalesce=coalesce, telemetry=telemetry)
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("odp", list(OdpSetup))
-    def test_fig04_shape(self, odp):
-        """The paper's damming experiment: 2 ops, every ODP mode."""
-        def cfg(arraycore):
-            return MicrobenchConfig(size=100, num_ops=2, num_qps=1,
-                                    odp=odp,
-                                    min_rnr_timer_ns=round(1.28 * MS),
-                                    arraycore=arraycore)
-        off = run_microbench(cfg(False))
-        on = run_microbench(cfg(True))
-        assert _metrics(off) == _metrics(on)
-
     @pytest.mark.parametrize("odp", [OdpSetup.CLIENT, OdpSetup.SERVER,
                                      OdpSetup.BOTH])
     def test_fig09_shapes(self, odp):
-        """Flood points for each faulting side, array core on vs off."""
+        """Window-1 flood points for each faulting side, fast path on
+        vs off."""
         kwargs = dict(num_qps=50, num_ops=512) if odp is OdpSetup.CLIENT \
             else dict(num_qps=25, num_ops=256)
         off = run_microbench(_flood_config(False, odp=odp, **kwargs))
         on = run_microbench(_flood_config(True, odp=odp, **kwargs))
         assert _metrics(off) == _metrics(on)
-
-    def test_composes_with_storm_coalescing(self):
-        """arraycore and coalesce stacked still match the plain object
-        path — the layers must not double-apply anything."""
-        off = run_microbench(_flood_config(False, coalesce=False))
-        both = run_microbench(_flood_config(True, coalesce=True))
-        assert _metrics(off) == _metrics(both)
 
     def test_fleet_and_seeded_sweeps_engage(self):
         """The identity above must come from the batched path actually
@@ -88,8 +69,7 @@ class TestBitIdentity:
         clusters = []
         cfg = MicrobenchConfig(size=400, num_ops=2048, num_qps=512,
                                interval_us=0.0, odp=OdpSetup.CLIENT,
-                               integrity=False, seed=50, max_rd_atomic=1,
-                               coalesce=False, arraycore=True)
+                               integrity=False, seed=50, max_rd_atomic=1)
         result = run_microbench(cfg, on_cluster=clusters.append)
         fleet = seeds = 0
         for node in clusters[0].nodes:
@@ -103,13 +83,12 @@ class TestBitIdentity:
     def test_telemetry_counters_and_fingerprint_unchanged(self):
         """An attached telemetry session forces per-packet delivery;
         fingerprints and the counter identity surface must match the
-        object path exactly (same gate the telemetry smoke runs for
-        coalesce)."""
+        object path exactly (same gate the telemetry smoke runs)."""
         streams = []
-        for arraycore in (False, True):
+        for coalesce in (False, True):
             tel = Telemetry()
             result = run_microbench(
-                _flood_config(arraycore, num_qps=10, num_ops=128,
+                _flood_config(coalesce, num_qps=10, num_ops=128,
                               telemetry=tel))
             streams.append((_metrics(result), tel.fingerprint(),
                             tel.counters().identity_surface()))
@@ -144,7 +123,6 @@ class TestArrayTable:
         def arm_audit(cluster):
             clusters.append(cluster)
             for node in cluster.nodes:
-                node.rnic.enable_arraycore(capacity=4)
                 node.rnic.arraycore.audit = True
 
         run_microbench(_flood_config(True, num_qps=10, num_ops=128),
@@ -153,14 +131,14 @@ class TestArrayTable:
         assert core.load_queries > 0
 
     def test_table_grows_past_capacity(self):
-        """enable_arraycore(capacity=1) must transparently grow while
-        keeping every earlier row intact."""
+        """A one-row table must transparently grow as QPs register
+        while keeping every earlier row intact."""
         clusters = []
 
         def tiny(cluster):
             clusters.append(cluster)
             for node in cluster.nodes:
-                node.rnic.enable_arraycore(capacity=1)
+                node.rnic.arraycore = ArrayCore(node.rnic, capacity=1)
 
         run_microbench(_flood_config(True, num_qps=8, num_ops=64),
                        on_cluster=tiny)

@@ -10,7 +10,7 @@ from repro.ib.verbs.enums import OdpMode
 from repro.ib.verbs.wr import RemoteAddr, Sge, WorkRequest
 from repro.sim.timebase import MS, US
 
-from tests.helpers import make_connected_pair
+from tests.helpers import executor_surface, make_connected_pair
 
 
 def post_read(client, server, wr_id=1, offset=0, size=64):
@@ -169,9 +169,14 @@ class TestTopologyFaults:
         assert client.qp.requester.timeouts == 0  # resumed under timeout
 
     def test_eviction_storm_forces_refaults(self):
+        """Correct on both executors, and bit-identical between them."""
+        runs = [self._eviction_storm(coalesce) for coalesce in (False, True)]
+        assert runs[0] == runs[1]
+
+    def _eviction_storm(self, coalesce):
         cluster, client, server = make_connected_pair(
             server_odp=OdpMode.EXPLICIT, populate=False,
-            buf_size=16 * 4096)
+            buf_size=16 * 4096, coalesce=coalesce)
         for i in range(8):
             server.buf.write(i * 4096, bytes([i + 1]) * 64)
         engine = install(cluster,
@@ -186,6 +191,7 @@ class TestTopologyFaults:
         assert engine.stats["evict"] >= 1
         for i in range(8):
             assert client.buf.read(i * 4096, 64) == bytes([i + 1]) * 64
+        return executor_surface(cluster, client, wcs), dict(engine.stats)
 
     def test_latency_window_inflates_completion(self):
         cluster, client, server = make_connected_pair()

@@ -8,7 +8,7 @@ from repro.ib.verbs.enums import OdpMode, WcStatus
 from repro.ib.verbs.qp import QpAttrs
 from repro.ib.verbs.wr import RemoteAddr, Sge, WorkRequest
 
-from tests.helpers import make_connected_pair
+from tests.helpers import executor_surface, make_connected_pair
 
 
 def post_read(client, server, wr_id=1, offset=0, size=64):
@@ -75,8 +75,14 @@ class TestPacketLoss:
 
 class TestEvictionStorms:
     def test_reclaim_during_odp_traffic_stays_correct(self):
+        """Correct on both executors, and bit-identical between them."""
+        runs = [self._reclaim_run(coalesce) for coalesce in (False, True)]
+        assert runs[0] == runs[1]
+
+    def _reclaim_run(self, coalesce):
         cluster, client, server = make_connected_pair(
-            server_odp=OdpMode.EXPLICIT, populate=False, buf_size=16 * 4096)
+            server_odp=OdpMode.EXPLICIT, populate=False, buf_size=16 * 4096,
+            coalesce=coalesce)
         for page_index in range(8):
             server.buf.write(page_index * 4096, bytes([page_index]) * 64)
         # interleave reads with kernel reclaim of the server's pages
@@ -91,6 +97,7 @@ class TestEvictionStorms:
         assert all(wc.ok for wc in wcs)
         for i in range(8):
             assert client.buf.read(i * 4096, 64) == bytes([i]) * 64
+        return executor_surface(cluster, client, wcs)
 
     def test_invalidated_page_refaults_transparently(self):
         cluster, client, server = make_connected_pair(

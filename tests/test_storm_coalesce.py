@@ -1,12 +1,15 @@
-"""Steady-state storm coalescing: exactness, gating, and probes.
+"""The fast path against the object path: exactness, gating, probes.
 
-The coalescer's contract is *exact or decline*: every reported metric of
-a run with ``coalesce=True`` must be bit-identical to the same run with
-``coalesce=False`` — the fast-forward only changes how long the wall
-clock takes to get there.  These tests enforce that on Figure 4- and
-Figure 9-shaped workloads, check that armed observers force the
-per-packet path (per QP pair, not globally), and unit-test the engine
-probes and the tx-ring replay the closed forms are built on.
+``coalesce=True`` runs the one fast path (storm coalescer, array core
+and bulk delivery armed together); ``coalesce=False`` runs the object
+path, the reference executor.  The contract is *exact or decline*:
+every reported metric must be bit-identical between the two — the
+fast-forward only changes how long the wall clock takes to get there.
+These tests enforce that on the Figure 4 shape in every ODP mode and on
+window-16 Figure 9 shapes (``test_arraycore`` covers window 1), check
+that armed observers force the per-packet path (per QP pair, not
+globally), and unit-test the engine probes and the tx-ring replay the
+closed forms are built on.
 """
 
 import dataclasses

@@ -8,7 +8,7 @@ from repro.ib.verbs.enums import OdpMode, WcStatus
 from repro.ib.verbs.qp import QpAttrs
 from repro.ib.verbs.wr import RemoteAddr, Sge, WorkRequest
 
-from tests.helpers import make_connected_pair
+from tests.helpers import executor_surface, make_connected_pair
 
 
 def post_read(client, server, wr_id=1, offset=0, size=64, signaled=True):
@@ -112,12 +112,19 @@ class TestNakBehaviour:
 
     def test_rnr_wait_discards_read_responses(self):
         # Figure 1 left: responses during the RNR delay are discarded
-        cluster, client, server = make_connected_pair(
-            server_odp=OdpMode.EXPLICIT, populate=False)
-        post_read(client, server, wr_id=1, offset=0)
-        post_read(client, server, wr_id=2, offset=64)  # same page
-        cluster.sim.run_until_idle()
-        assert len(client.cq.poll(10)) == 2
+        # (on both executors, bit-identically)
+        runs = []
+        for coalesce in (False, True):
+            cluster, client, server = make_connected_pair(
+                server_odp=OdpMode.EXPLICIT, populate=False,
+                coalesce=coalesce)
+            post_read(client, server, wr_id=1, offset=0)
+            post_read(client, server, wr_id=2, offset=64)  # same page
+            cluster.sim.run_until_idle()
+            wcs = client.cq.poll(10)
+            assert len(wcs) == 2
+            runs.append(executor_surface(cluster, client, wcs))
+        assert runs[0] == runs[1]
 
     def test_duplicate_read_request_is_reexecuted(self):
         cluster, client, server = make_connected_pair()
