@@ -17,12 +17,11 @@ per point); ``scale`` divides the operation count, preserving shapes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
-from repro.experiments.scheduler import FleetTask, PointTask, run_schedule
+from repro.experiments.runner import sweep
 from repro.report import ascii_chart, format_table
 from repro.sim.timebase import MS
 
@@ -106,8 +105,11 @@ class Figure9Result:
 
 
 def _measure_point(point) -> Figure9Point:
-    """One (mode, #QPs) cell on a fresh per-point simulator (pool-safe)."""
-    mode, num_qps, size, num_ops, cack, seed, mitigation = point
+    """One (mode, #QPs) cell on a fresh per-point simulator (pool-safe).
+
+    ``num_groups > 1`` makes the cell a QP-group fleet, which
+    :func:`run_microbench` hands to the shard layer."""
+    mode, num_qps, size, num_ops, cack, seed, mitigation, num_groups = point
     run = run_microbench(MicrobenchConfig(
         size=size, num_ops=num_ops,
         num_qps=min(num_qps, num_ops),
@@ -115,7 +117,7 @@ def _measure_point(point) -> Figure9Point:
         min_rnr_timer_ns=round(1.28 * MS),
         # The flood sweep moves millions of packets; lazy payloads skip
         # the byte copies without changing any reported metric.
-        integrity=False, mitigation=mitigation,
+        integrity=False, num_groups=num_groups, mitigation=mitigation,
         seed=point_seed(seed, mode, num_qps)))
     return Figure9Point(
         num_qps=num_qps,
@@ -136,24 +138,12 @@ def effective_groups(requested: int, num_qps: int, num_ops: int) -> int:
     return 1
 
 
-def _fleet_to_point(num_qps: int, fleet) -> Figure9Point:
-    """Wrap a merged fleet run as this grid cell's Figure9Point."""
-    result = fleet.result
-    return Figure9Point(
-        num_qps=num_qps,
-        execution_s=result.execution_time_s,
-        packets=result.total_packets,
-        timeouts=result.timeouts,
-        blind_retransmits=result.blind_retransmit_rounds)
-
-
 def run_figure9(qps_values: Optional[List[int]] = None,
                 modes: Optional[List[OdpSetup]] = None,
                 scale: int = 4, seed: int = 0,
                 cack: Optional[int] = None,
                 processes: Optional[int] = None,
                 num_groups: int = 1,
-                shards: Optional[int] = None,
                 mitigation: str = "none") -> Figure9Result:
     """Sweep QP count x ODP mode.  ``scale`` divides the op count.
 
@@ -163,25 +153,22 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     dominate the much shorter scaled executions; pass ``cack=18``
     explicitly for paper-exact parameters.
 
-    The grid runs through the two-level scheduler: cells are weighted
-    by QP count and submitted heaviest first, so the expensive
-    many-QP flood cells start before the cheap baselines backfill.
-    ``processes`` sizes the pool (every point owns its seed, so results
-    are bit-identical to a serial run for any value).
+    Cells are weighted by QP count and submitted heaviest first, so the
+    expensive many-QP flood cells start before the cheap baselines
+    backfill.  ``processes`` sizes the pool (every point owns its seed,
+    so results are bit-identical to a serial run for any value).
 
     ``mitigation`` names a countermeasure strategy from
-    :mod:`repro.mitigate`; it rides the point/fleet configs like any
-    other grid axis (``"none"`` is bit-identical to omitting it).
+    :mod:`repro.mitigate`; it rides the point configs like any other
+    grid axis (``"none"`` is bit-identical to omitting it).
 
-    ``num_groups > 1`` additionally *shards* each cell big enough to
-    split: the cell becomes a QP-group fleet (largest group count <=
-    ``num_groups`` that divides its QPs and ops) whose shards are
-    scheduled across idle workers, ``shards`` capping the per-cell
-    fan-out.  Fleet cells are defined over per-group RNG streams, so
-    their numbers form their own family: bit-identical for any shard
-    count or pool width (tested), but not comparable to the
-    ``num_groups=1`` monolithic cells.  The default keeps the classic
-    definition.
+    ``num_groups > 1`` additionally splits each cell big enough to
+    split into a QP-group fleet (largest group count <= ``num_groups``
+    that divides its QPs and ops).  Fleet cells are defined over
+    per-group RNG streams, so their numbers form their own family:
+    bit-identical for any pool width (tested), but not comparable to
+    the ``num_groups=1`` monolithic cells.  The default keeps the
+    classic definition.
     """
     qps_list = qps_values if qps_values is not None else \
         [1, 5, 10, 25, 50, 100, 200]
@@ -193,27 +180,16 @@ def run_figure9(qps_values: Optional[List[int]] = None,
     # preserve the paper's 200-page buffer footprint when the operation
     # count shrinks: the flood volume is (QP, page)-pair driven
     size = min(PAPER_SIZE * scale, 2048)
-    tasks = []
+    cells = []
+    weights = []
     for mode in mode_list:
         for num_qps in qps_list:
-            point = (mode, num_qps, size, num_ops, cack, seed, mitigation)
             eff_qps = min(num_qps, num_ops)
             groups = effective_groups(num_groups, eff_qps, num_ops)
-            if groups <= 1:
-                tasks.append(PointTask(_measure_point, point,
-                                       weight=eff_qps))
-                continue
-            config = MicrobenchConfig(
-                size=size, num_ops=num_ops, num_qps=eff_qps,
-                odp=mode, cack=cack,
-                min_rnr_timer_ns=round(1.28 * MS),
-                integrity=False, num_groups=groups,
-                mitigation=mitigation,
-                seed=point_seed(seed, mode, num_qps))
-            tasks.append(FleetTask(
-                config, weight=eff_qps, shards=shards,
-                post=functools.partial(_fleet_to_point, num_qps)))
-    points = run_schedule(tasks, processes=processes)
+            cells.append((mode, num_qps, size, num_ops, cack, seed,
+                          mitigation, groups))
+            weights.append(eff_qps)
+    points = sweep(_measure_point, cells, processes, weights=weights)
     result = Figure9Result(num_ops=num_ops)
     for index, mode in enumerate(mode_list):
         result.curves[mode] = points[index * len(qps_list):

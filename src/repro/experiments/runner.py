@@ -13,15 +13,13 @@ Environment knobs:
 * ``REPRO_SERIAL=1`` forces serial execution regardless of arguments
   (useful for debugging and for deterministic timing baselines);
 * ``REPRO_JOBS=N`` sets the default worker count (otherwise the number
-  of usable cores);
-* ``REPRO_CHUNKSIZE=N`` sets the default ``pool.map`` chunk size
-  (otherwise :func:`auto_chunksize`); the ``--chunksize`` flag of
-  ``python -m repro`` pins it for one invocation;
-* ``REPRO_AFFINITY=SPEC`` pins pool workers to CPUs (``"0-3,8"``
-  style); worker ``i`` is pinned to the ``i``-th listed CPU, round
-  robin.  A no-op on platforms without ``os.sched_setaffinity`` and
-  for malformed specs — affinity is a placement hint, never
-  correctness, so it must not be able to fail a run.
+  of usable cores).
+
+:func:`sweep` is the repo's only pool-submission site: grid sweeps,
+the weighted figure sweeps (fig09, fig12, tab13) and the shard fleet
+(:func:`repro.experiments.shard.run_fleet`) all go through it.  It
+submits one point per task, heaviest ``weights`` first, so placement
+is the only thing the executor decides.
 
 Workers must be module-level functions and points picklable tuples —
 ``ProcessPoolExecutor`` ships both to the pool.  Nested sweeps (a sweep
@@ -35,21 +33,18 @@ is spawned once and reused — results are bit-identical either way.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    TypeVar)
 
 Point = TypeVar("Point")
 Result = TypeVar("Result")
 
 #: Set inside pool workers so nested sweep() calls stay serial.
 _IN_WORKER_ENV = "REPRO_IN_SWEEP_WORKER"
-
-#: Environment knob holding the CPU affinity spec for pool workers.
-_AFFINITY_ENV = "REPRO_AFFINITY"
 
 #: The innermost active :func:`sweep_session`, or None.
 _SESSION: Optional["_SweepSession"] = None
@@ -76,147 +71,14 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def parse_affinity(spec: Optional[str]) -> Optional[List[int]]:
-    """Parse an affinity spec like ``"0-3,8"`` into a sorted CPU list.
-
-    Accepts comma-separated CPU ids and inclusive ``a-b`` ranges, in
-    taskset/cpuset syntax.  Returns ``None`` — affinity disabled — for
-    ``None``, empty/whitespace specs, the explicit ``none``/``off``
-    words, and *any* malformed spec: pinning is a placement hint, so a
-    typo must degrade to the unpinned default rather than kill a long
-    sweep at the CLI boundary.  Duplicate ids collapse; an empty range
-    (``"3-1"``) contributes nothing.
-    """
-    if spec is None:
-        return None
-    text = spec.strip().lower()
-    if text in ("", "none", "off"):
-        return None
-    cpus = set()
-    try:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "-" in part:
-                lo_text, hi_text = part.split("-", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if lo < 0 or hi < 0:
-                    return None
-                cpus.update(range(lo, hi + 1))
-            else:
-                cpu = int(part)
-                if cpu < 0:
-                    return None
-                cpus.add(cpu)
-    except ValueError:
-        return None
-    return sorted(cpus) or None
-
-
-def resolve_affinity(spec: Optional[str] = None) -> Optional[List[int]]:
-    """The CPU list pool workers should pin to, or ``None``.
-
-    An explicit ``spec`` argument wins; otherwise the ``REPRO_AFFINITY``
-    environment knob is consulted.  Both go through
-    :func:`parse_affinity`'s forgiving grammar.
-    """
-    if spec is not None:
-        return parse_affinity(spec)
-    return parse_affinity(os.environ.get(_AFFINITY_ENV))
-
-
-def set_affinity_env(spec: Optional[str]) -> None:
-    """Export an ``--affinity`` CLI value as ``REPRO_AFFINITY`` so pools
-    created anywhere below (sessions, nested helpers, benches) inherit
-    it.  ``None`` leaves the environment untouched; an empty string
-    clears the knob."""
-    if spec is None:
-        return
-    if spec.strip() == "":
-        os.environ.pop(_AFFINITY_ENV, None)
-    else:
-        os.environ[_AFFINITY_ENV] = spec
-
-
-def _mark_worker(cpu_queue=None) -> None:
-    """Pool initializer: tag the process so nested sweeps go serial,
-    and optionally pin it to one CPU.
-
-    ``cpu_queue`` (when affinity is enabled) is preloaded with one CPU
-    id per worker slot; each worker pops its own.  Pinning is strictly
-    best-effort: platforms without ``os.sched_setaffinity`` (macOS,
-    Windows) and CPUs outside the allowed mask fall through to the
-    scheduler's default placement.  Affinity never touches seeds or
-    ordering, so results are bit-identical pinned or not.
-    """
+def _mark_worker() -> None:
+    """Pool initializer: tag the process so nested sweeps go serial."""
     os.environ[_IN_WORKER_ENV] = "1"
-    if cpu_queue is None:
-        return
-    try:
-        cpu = cpu_queue.get_nowait()
-    except Exception:
-        return
-    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
-        return
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except (OSError, ValueError):
-        pass
 
 
 def _make_pool(workers: int) -> ProcessPoolExecutor:
-    """Build a worker pool, honouring the ``REPRO_AFFINITY`` knob.
-
-    With affinity enabled, worker ``i`` pins to the ``i``-th listed CPU
-    (round robin when workers outnumber CPUs) by popping a preloaded
-    queue in its initializer — the executor gives us no per-worker
-    index, but a queue of ids hands each process a distinct slot.
-    """
-    workers = max(1, workers)
-    cpus = resolve_affinity()
-    if not cpus:
-        return ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_mark_worker)
-    queue: "multiprocessing.Queue" = multiprocessing.Queue()
-    for slot in range(workers):
-        queue.put(cpus[slot % len(cpus)])
-    return ProcessPoolExecutor(max_workers=workers,
-                               initializer=_mark_worker,
-                               initargs=(queue,))
-
-
-def auto_chunksize(num_points: int, jobs: int) -> int:
-    """Default ``pool.map`` chunk size: ``max(1, points // (4 * jobs))``.
-
-    One-point chunks maximise balance but pay a pickle round-trip per
-    point, which big uniform grids (fig12's 100 trials, wide fig09
-    sweeps) feel.  Four chunks per worker amortises the dispatch
-    overhead while leaving enough slack for stragglers — the standard
-    batching compromise.  Chunking never changes results (only the
-    grouping of points shipped per IPC message), so the bit-identity
-    guarantee of :func:`sweep` is unaffected.
-    """
-    return max(1, num_points // (4 * jobs))
-
-
-def resolve_chunksize(num_points: int, jobs: int,
-                      chunksize: Optional[int] = None) -> int:
-    """The chunk size a sweep will use: explicit argument first, then
-    the ``REPRO_CHUNKSIZE`` environment knob, then
-    :func:`auto_chunksize`.  Values are clamped to >= 1; a malformed
-    environment value is ignored rather than fatal (the knob is a
-    tuning hint, not configuration).
-    """
-    if chunksize is not None:
-        return max(1, int(chunksize))
-    env = os.environ.get("REPRO_CHUNKSIZE")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return auto_chunksize(num_points, jobs)
+    return ProcessPoolExecutor(max_workers=max(1, workers),
+                               initializer=_mark_worker)
 
 
 class _SweepSession:
@@ -289,7 +151,7 @@ def sweep_session(processes: Optional[int] = None
     the pool and later sweeps reuse it.  Results are bit-identical with
     and without a session (a test enforces this): the pool only changes
     *where* points execute, never their seeds or ordering, and workers
-    hold no state between map calls that a point could observe — every
+    hold no state between sweeps that a point could observe — every
     point builds its own simulator from its own seed.
 
     Sessions nest by reusing the innermost active session's pool, so a
@@ -312,7 +174,7 @@ def sweep_session(processes: Optional[int] = None
 
 def sweep(fn: Callable[[Point], Result], points: Iterable[Point],
           processes: Optional[int] = None,
-          chunksize: Optional[int] = None,
+          weights: Optional[Sequence[float]] = None,
           progress: Optional[Callable[[int, int], None]] = None
           ) -> List[Result]:
     """Run ``fn`` over every point, in order, possibly across processes.
@@ -324,22 +186,32 @@ def sweep(fn: Callable[[Point], Result], points: Iterable[Point],
 
     ``processes=None`` uses :func:`default_jobs`; ``processes<=1``, a
     single point, or ``REPRO_SERIAL=1`` short-circuit to the plain
-    serial loop (no pool, no pickling).  ``chunksize=None`` defers to
-    :func:`resolve_chunksize` (``REPRO_CHUNKSIZE``, then
-    :func:`auto_chunksize`); pass an explicit value to override both.
+    serial loop (no pool, no pickling).  The pooled path submits one
+    point per task.
 
-    ``progress``, when given, is called as ``progress(done, total)``
-    after each point's result is in hand — in input order on the serial
-    path and in ``pool.map``'s in-order delivery on the parallel path —
-    so long ``--jobs`` sweeps can report completion (e.g. as telemetry
-    instants via :meth:`repro.telemetry.Telemetry.progress`) without
-    changing results: the callback runs in the parent process and never
-    touches the points or their outputs.
+    ``weights``, one relative cost estimate per point (QP count is the
+    usual choice), orders submission heaviest first — the LPT makespan
+    heuristic: stragglers start earliest, light points backfill.  Ties
+    keep input order, and ``None`` submits in input order.  Weights
+    only move wall-clock, never results; a list whose length differs
+    from the points' raises :class:`ValueError`.
+
+    ``progress``, when given, is called as ``progress(done, total)`` in
+    the parent after each point's result is in hand — in input order on
+    the serial path and in completion order on the pooled one — so long
+    ``--jobs`` sweeps can report completion (e.g. as telemetry instants
+    via :meth:`repro.telemetry.Telemetry.progress`) without changing
+    results: the callback never touches the points or their outputs.
     """
     todo = list(points)
-    jobs = default_jobs() if processes is None else max(1, int(processes))
-    jobs = min(jobs, len(todo))
     total = len(todo)
+    if weights is not None:
+        weights = list(weights)
+        if len(weights) != total:
+            raise ValueError(f"sweep got {len(weights)} weights for "
+                             f"{total} points")
+    jobs = default_jobs() if processes is None else max(1, int(processes))
+    jobs = min(jobs, total)
     if jobs <= 1 or serial_forced():
         results: List[Result] = []
         for point in todo:
@@ -347,22 +219,28 @@ def sweep(fn: Callable[[Point], Result], points: Iterable[Point],
             if progress is not None:
                 progress(len(results), total)
         return results
-    chunksize = resolve_chunksize(len(todo), jobs, chunksize)
+    order = range(total) if weights is None else \
+        sorted(range(total), key=lambda i: -weights[i])
     if _SESSION is not None:
         pool = _SESSION.executor(jobs)
         _SESSION.pooled_sweeps += 1
-        return _consume(pool, fn, todo, chunksize, progress, total)
+        return _consume(pool, fn, todo, order, progress)
     with _make_pool(jobs) as pool:
-        return _consume(pool, fn, todo, chunksize, progress, total)
+        return _consume(pool, fn, todo, order, progress)
 
 
-def _consume(pool: ProcessPoolExecutor, fn, todo, chunksize: int,
-             progress, total: int) -> List:
-    """Drain one ``pool.map`` in input order, reporting progress."""
-    if progress is None:
-        return list(pool.map(fn, todo, chunksize=chunksize))
-    results: List = []
-    for result in pool.map(fn, todo, chunksize=chunksize):
-        results.append(result)
-        progress(len(results), total)
+def _consume(pool: ProcessPoolExecutor, fn, todo: List, order,
+             progress) -> List:
+    """Submit ``todo`` in ``order`` and collect results by input index."""
+    futures = {pool.submit(fn, todo[i]): i for i in order}
+    results: List = [None] * len(todo)
+    try:
+        for done, future in enumerate(as_completed(futures), 1):
+            results[futures[future]] = future.result()
+            if progress is not None:
+                progress(done, len(todo))
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
     return results

@@ -461,20 +461,16 @@ def run_shard(args: Tuple) -> List[GroupResult]:
     """Worker entry: rebuild and run every group of one shard.
 
     Module-level and fed picklable tuples, as :func:`runner.sweep`
-    requires.  ``args`` is ``(specs, base_config, collect, workload)``;
-    a legacy 3-tuple means the microbench workload.  The workload name
-    resolves through the registry *inside* the worker, so application
-    modules (spark) import only where their groups actually run.
-    Groups run sequentially in spec order; each builds its own cluster
-    (which restarts packet serial numbering), so a group's bytes are
-    identical whether its neighbour ran in this process, in another
-    worker, or not at all.
+    requires.  ``args`` is ``(specs, base_config, collect, workload)``
+    as built by :func:`shard_args`.  The workload name resolves through
+    the registry *inside* the worker, so application modules (spark)
+    import only where their groups actually run.  Groups run
+    sequentially in spec order; each builds its own cluster (which
+    restarts packet serial numbering), so a group's bytes are identical
+    whether its neighbour ran in this process, in another worker, or
+    not at all.
     """
-    if len(args) == 3:
-        specs, base_config, collect = args
-        name = "microbench"
-    else:
-        specs, base_config, collect, name = args
+    specs, base_config, collect, name = args
     workload = get_fleet_workload(name)
     return [workload.run_group(spec, base_config, frozenset(collect))
             for spec in specs]
@@ -615,8 +611,8 @@ def _check_collect(collect: Iterable[str]) -> FrozenSet[str]:
 def plan_fleet(config, shards: Optional[int] = None
                ) -> Tuple[FleetWorkload, List[GroupSpec], ShardPlan]:
     """Resolve a fleet config to (workload, groups, plan) without
-    running anything — the scheduler uses this to weigh and place
-    shard units before submission."""
+    running anything: the first of :func:`run_fleet`'s three steps
+    (plan, run the shards, merge)."""
     workload = get_fleet_workload(workload_name(config))
     groups = workload.groups(config)
     requested = int(config.shards if shards is None else shards)
@@ -632,9 +628,9 @@ def merge_fleet(config, group_results: Sequence[GroupResult],
     """Fold per-group partials into a :class:`FleetResult`.
 
     The workload merges its own result type; counters, fingerprints and
-    capture artifacts merge identically for every workload.  Shared by
-    :func:`run_fleet` and the two-level scheduler, which collects the
-    same :class:`GroupResult` s through its own placement.
+    capture artifacts merge identically for every workload, in
+    canonical group order, so the merge does not depend on which shard
+    or process produced a partial.
     """
     collect_set = _check_collect(collect)
     if workload is None:
@@ -665,7 +661,8 @@ def merge_fleet(config, group_results: Sequence[GroupResult],
 
 def shard_args(groups: Sequence[GroupSpec], plan: ShardPlan, config,
                collect: Iterable[str] = ()) -> List[Tuple]:
-    """The picklable :func:`run_shard` argument tuples for a plan.
+    """The picklable :func:`run_shard` argument tuples for a plan, one
+    per shard, as :func:`run_fleet` hands them to :func:`runner.sweep`.
 
     Strips any telemetry session from the shipped config — it holds the
     whole cluster graph, which must not cross the pickle boundary.
@@ -708,7 +705,7 @@ def run_fleet(config, shards: Optional[int] = None,
         shard_lists = runner.sweep(run_shard,
                                    shard_args(groups, plan, config,
                                               collect_set),
-                                   processes=len(plan.shards), chunksize=1,
+                                   processes=len(plan.shards),
                                    progress=progress)
         group_results = [group for shard in shard_lists for group in shard]
     else:

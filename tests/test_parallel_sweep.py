@@ -5,6 +5,7 @@ its ``Simulator(seed)``.
 
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -192,118 +193,77 @@ def test_fig09_parallel_wall_clock_speedup():
         f"parallel {parallel_s:.1f}s vs serial {serial_s:.1f}s"
 
 
-class TestChunksize:
-    """The dispatch-granularity knob: explicit argument beats the
-    ``REPRO_CHUNKSIZE`` environment, which beats the auto heuristic."""
+class _RecordingPool(ThreadPoolExecutor):
+    """An in-process pool that records the points in submission order."""
 
-    def test_auto_chunksize_pinned_values(self):
-        # A quarter of the per-worker share, floored at 1.
-        assert runner.auto_chunksize(100, 8) == 3
-        assert runner.auto_chunksize(64, 4) == 4
-        assert runner.auto_chunksize(7, 8) == 1
-        assert runner.auto_chunksize(0, 8) == 1
+    def __init__(self, workers):
+        super().__init__(max_workers=1)
+        self.submitted = []
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "9")
-        assert runner.resolve_chunksize(100, 8, chunksize=5) == 5
-        assert runner.resolve_chunksize(100, 8, chunksize=0) == 1
+    def submit(self, fn, point):
+        self.submitted.append(point)
+        return super().submit(fn, point)
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "7")
-        assert runner.resolve_chunksize(100, 8) == 7
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "0")
-        assert runner.resolve_chunksize(100, 8) == 1
 
-    def test_malformed_env_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNKSIZE", "not-a-number")
-        assert runner.resolve_chunksize(100, 8) == 3
-        monkeypatch.delenv("REPRO_CHUNKSIZE")
-        assert runner.resolve_chunksize(100, 8) == 3
+class TestWeightedSweep:
+    """``weights`` order submission heaviest first; results, ordering
+    and progress reporting do not move."""
 
-    def test_sweep_results_identical_at_any_chunksize(self):
-        points = list(range(17))
+    def test_weights_keep_input_order_validate_and_report(self):
+        points = list(range(8))
         expected = [p * p for p in points]
-        for chunksize in (1, 4, 17, 100):
-            got = sweep(_square, points, processes=2,
-                        chunksize=chunksize)
-            assert got == expected
+        for weights in (points[::-1], [1.0] * 8, points):
+            for processes in (1, 3):
+                assert sweep(_square, points, processes,
+                             weights=weights) == expected
+        with pytest.raises(ValueError):
+            sweep(_square, points, processes=2, weights=[1.0] * 7)
+        seen = []
+        sweep(_square, points, processes=3, weights=points,
+              progress=lambda done, total: seen.append((done, total)))
+        assert seen == [(done, 8) for done in range(1, 9)]
 
-    def test_cli_chunksize_exports_env(self, monkeypatch):
-        from repro import cli
-        monkeypatch.delenv("REPRO_CHUNKSIZE", raising=False)
-        monkeypatch.setattr(cli, "EXPERIMENTS",
-                            {"noop": lambda fast, seed, jobs: "ok"})
-        assert cli.main(["noop", "--chunksize", "2"]) == 0
-        assert os.environ["REPRO_CHUNKSIZE"] == "2"
+    def test_heaviest_first_ties_keep_input_order(self, monkeypatch):
+        pools = []
+
+        def make_pool(workers):
+            pools.append(_RecordingPool(workers))
+            return pools[-1]
+
+        monkeypatch.setattr(runner, "_make_pool", make_pool)
+        got = sweep(_square, [0, 1, 2, 3, 4], processes=2,
+                    weights=[1, 3, 2, 3, 1])
+        assert got == [0, 1, 4, 9, 16]
+        assert pools[0].submitted == [1, 3, 2, 0, 4]
 
 
-class TestAffinity:
-    """The CPU-pinning knob: taskset-style parsing with pinned values,
-    and strictly best-effort application — a typo or an unsupported
-    platform degrades to unpinned, never to a failed sweep."""
+class TestFigureWiring:
+    """fig09 and tab13 submit weighted sweeps; their outputs must
+    not move with placement."""
 
-    def test_parse_affinity_pinned_values(self):
-        assert runner.parse_affinity("0-3,8") == [0, 1, 2, 3, 8]
-        assert runner.parse_affinity("0") == [0]
-        assert runner.parse_affinity("2,1,1,2") == [1, 2]
-        assert runner.parse_affinity("1-1") == [1]
+    def test_tab13_cells_bit_identical(self):
+        from repro.apps.spark.workloads import SPARK_CELLS
+        from repro.experiments.tab13_spark import run_table13
+        cells = [SPARK_CELLS[0], SPARK_CELLS[3]]
+        serial = run_table13(cells=cells, processes=1)
+        parallel = run_table13(cells=cells, processes=4)
+        assert serial.render() == parallel.render()
 
-    def test_parse_affinity_disabled_forms(self):
-        for spec in (None, "", "   ", "none", "off", "NONE"):
-            assert runner.parse_affinity(spec) is None
+    def test_fig09_grouped_invariant_across_placement(self):
+        # A grouped fig09 point is *defined* over per-group RNG streams
+        # (a different, equally valid fleet definition — not the
+        # monolithic classic run), so what must hold is placement
+        # invariance: serial and pooled render the same.  Two cells, so
+        # the pooled run really fans out and each fleet runs in a worker.
+        kwargs = dict(qps_values=[4, 8], modes=[OdpSetup.CLIENT],
+                      scale=128, seed=3, num_groups=2)
+        serial = run_figure9(processes=1, **kwargs)
+        pooled = run_figure9(processes=4, **kwargs)
+        assert serial.render() == pooled.render()
 
-    def test_parse_affinity_malformed_degrades_to_none(self):
-        # Placement hint, not configuration: a typo must not kill a run.
-        for spec in ("x", "0-", "-3", "0,-2", "1..4", "0;1"):
-            assert runner.parse_affinity(spec) is None
-        assert runner.parse_affinity("3-1") is None  # empty range only
-
-    def test_resolve_prefers_argument_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AFFINITY", "0-1")
-        assert runner.resolve_affinity() == [0, 1]
-        assert runner.resolve_affinity("5") == [5]
-        monkeypatch.delenv("REPRO_AFFINITY")
-        assert runner.resolve_affinity() is None
-
-    def test_set_affinity_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
-        runner.set_affinity_env(None)
-        assert "REPRO_AFFINITY" not in os.environ
-        runner.set_affinity_env("0-3")
-        assert os.environ["REPRO_AFFINITY"] == "0-3"
-        runner.set_affinity_env("")
-        assert "REPRO_AFFINITY" not in os.environ
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
-
-    def test_pinned_sweep_results_identical(self, monkeypatch):
-        bare = sweep(_square, list(range(12)), processes=3)
-        monkeypatch.setenv("REPRO_AFFINITY", "0")
-        pinned = sweep(_square, list(range(12)), processes=3)
-        assert pinned == bare
-
-    def test_setaffinity_failure_is_swallowed(self, monkeypatch):
-        # CPUs outside the allowed mask raise OSError; the worker must
-        # come up unpinned rather than dead.
-        if not hasattr(os, "sched_setaffinity"):
-            pytest.skip("no sched_setaffinity on this platform")
-
-        def explode(pid, cpus):
-            raise OSError("cpu outside mask")
-
-        monkeypatch.setattr(os, "sched_setaffinity", explode)
-        # setenv first so teardown restores the marker's prior state.
-        monkeypatch.setenv(runner._IN_WORKER_ENV, "0")
-        import queue as queue_module
-        cpu_queue = queue_module.Queue()
-        cpu_queue.put(999)
-        runner._mark_worker(cpu_queue)  # must not raise
-        assert os.environ[runner._IN_WORKER_ENV] == "1"
-
-    def test_cli_affinity_exports_env(self, monkeypatch):
-        from repro import cli
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
-        monkeypatch.setattr(cli, "EXPERIMENTS",
-                            {"noop": lambda fast, seed, jobs: "ok"})
-        assert cli.main(["noop", "--affinity", "0-1"]) == 0
-        assert os.environ["REPRO_AFFINITY"] == "0-1"
-        monkeypatch.delenv("REPRO_AFFINITY", raising=False)
+    def test_fig09_effective_groups_divisor_fallback(self):
+        from repro.experiments.fig09_flood import effective_groups
+        assert effective_groups(4, 64, 256) == 4
+        assert effective_groups(4, 6, 256) == 2   # largest common divisor
+        assert effective_groups(3, 5, 7) == 1     # nothing divides: classic
+        assert effective_groups(1, 64, 256) == 1
