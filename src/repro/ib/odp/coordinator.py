@@ -44,8 +44,9 @@ class OdpCoordinator:
     def __init__(self, sim: Simulator, rnic: "Rnic"):
         self.sim = sim
         self.rnic = rnic
-        #: per-QP page-status views: keys present = page usable by QP
-        self._view: Set[QpPageKey] = set()
+        #: per-QP page-status views, indexed by page: the QPs whose
+        #: view holds ``(handle, page)`` may use it.  One index serves
+        #: membership tests, warm-up and invalidation alike.
         self._view_by_page: Dict[PageKey, Set[int]] = {}
         #: (QP, page) updates requested but not yet processed
         self._stale: Set[QpPageKey] = set()
@@ -131,7 +132,7 @@ class OdpCoordinator:
             self.ready_cache_hits += 1
             return hit[2]
         self.ready_cache_misses += 1
-        view = self._view
+        view = self._view_by_page
         mapped = translation._mapped  # noqa: SLF001 - same-device fast path
         # ``mr.pages_of_range`` inlined (it is a static page-index
         # computation): the client-side flood re-checks the same cold
@@ -145,13 +146,13 @@ class OdpCoordinator:
             last = (addr + size - 1) // PAGE_SIZE
             if first == last:
                 if ((handle, first) not in mapped
-                        or (qpn, handle, first) not in view) \
+                        or qpn not in view.get((handle, first), ())) \
                         and (handle, first) not in pinned:
                     verdict = False
             else:
                 for page in range(first, last + 1):
                     if ((handle, page) not in mapped
-                            or (qpn, handle, page) not in view) \
+                            or qpn not in view.get((handle, page), ())) \
                             and (handle, page) not in pinned:
                         verdict = False
                         break
@@ -182,7 +183,8 @@ class OdpCoordinator:
             ready = Future(label=f"fresh:{key}")
             ready.resolve(page)
             return ready
-        if self.rnic.translation.is_mapped(mr, page) and key in self._view:
+        if self.rnic.translation.is_mapped(mr, page) \
+                and qpn in self._view_by_page.get((mr.handle, page), ()):
             ready = Future(label=f"fresh:{key}")
             ready.resolve(page)
             return ready
@@ -234,7 +236,6 @@ class OdpCoordinator:
                 self._stale_by_qpn.pop(qpn, None)
             else:
                 self._stale_by_qpn[qpn] = remaining
-        self._view.add(key)
         self._view_by_page.setdefault((key[1], key[2]), set()).add(key[0])
         self._fresh_futures.pop(key, None)
         tel = self.rnic.telemetry
@@ -327,15 +328,14 @@ class OdpCoordinator:
                       addr: int, size: int) -> None:
         """Mark the range warm for the given QPs, modelling earlier
         traffic that already populated both the translation table and
-        the per-QP status views (e.g. prior job stages)."""
+        the per-QP status views (e.g. prior job stages).  ``qpns`` may
+        be any iterable; it is read once."""
+        qpns = list(qpns)
         for page in mr.pages_of_range(addr, size):
             mr.vm._restore_or_materialise(page)  # noqa: SLF001
             self.rnic.translation.map_page(mr, page)
-            for qpn in qpns:
-                key = (qpn, mr.handle, page)
-                self._view.add(key)
-                self._view_by_page.setdefault((mr.handle, page),
-                                              set()).add(qpn)
+            self._view_by_page.setdefault((mr.handle, page),
+                                          set()).update(qpns)
         self._bump_view_gen()
         self._stamp_page_gen(qpns)
 
@@ -348,8 +348,6 @@ class OdpCoordinator:
         qpns = self._view_by_page.pop((mr.handle, page), None)
         if not qpns:
             return
-        for qpn in qpns:
-            self._view.discard((qpn, mr.handle, page))
         self._bump_view_gen()  # cached "ready" verdicts are now stale
         self._stamp_page_gen(qpns)
 

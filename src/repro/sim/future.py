@@ -80,10 +80,17 @@ class Future:
 
 
 def all_of(futures: Sequence[Future], label: str = "all_of") -> Future:
-    """Return a future that resolves (with a list of results) once every
-    input future has resolved.  An empty sequence resolves immediately.
+    """Return a future that resolves with the list of input results, in
+    input order, once every input has resolved.  An empty sequence
+    resolves immediately with ``[]``.
 
-    If any input fails, the aggregate fails with the first exception.
+    The aggregate fails with the exception of the first input to fail;
+    resolutions after that are ignored.  Inputs already done at call
+    time report in input order while their callbacks are registered, so
+    among several already-failed inputs the first in input order wins.
+    Each resolution costs O(1): only the future that just resolved is
+    inspected, since any earlier failure already failed the aggregate.
+    A future passed twice counts once per slot.
     """
     aggregate = Future(label)
     remaining = len(futures)
@@ -91,15 +98,15 @@ def all_of(futures: Sequence[Future], label: str = "all_of") -> Future:
         aggregate.resolve([])
         return aggregate
 
-    def on_done(_: Future) -> None:
+    def on_done(future: Future) -> None:
         nonlocal remaining
         if aggregate.done:
             return
-        remaining -= 1
-        failed = next((f for f in futures if f.done and f.exception), None)
-        if failed is not None:
-            aggregate.fail(failed.exception)  # type: ignore[arg-type]
+        exc = future.exception
+        if exc is not None:
+            aggregate.fail(exc)
             return
+        remaining -= 1
         if remaining == 0:
             aggregate.resolve([f.result for f in futures])
 

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.host.memory import Region
 from repro.ib.verbs.enums import Access, OdpMode
 from repro.ib.verbs.wr import WorkCompletion
-from repro.sim.future import Future
+from repro.sim.future import Future, all_of
 from repro.ucx.config import UcxConfig
 from repro.ucx.endpoint import UcxEndpoint, UcxMemory
 
@@ -73,23 +73,10 @@ class UcxContext:
             endpoint._handle_completion(wc)  # noqa: SLF001 - friend class
 
     def flush(self) -> Future:
-        """Future resolving when every endpoint drains its work."""
+        """Future resolving, with one ``None`` per endpoint that had
+        work in flight, once every such endpoint drains."""
         pending = [ep for ep in self.endpoints if ep.inflight > 0]
-        done = Future(label="ucx.flush")
-        if not pending:
-            done.resolve(None)
-            return done
-        remaining = len(pending)
-
-        def one_done(_f: Future) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0 and not done.done:
-                done.resolve(None)
-
-        for endpoint in pending:
-            endpoint.drained().add_callback(one_done)
-        return done
+        return all_of([ep.drained() for ep in pending], label="ucx.flush")
 
 
 def connect_endpoints(a: UcxEndpoint, b: UcxEndpoint) -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.microbench import MicrobenchConfig, OdpSetup, run_microbench
 from repro.host.cluster import build_pair
+from repro.host.memory import PAGE_SIZE
 from repro.ib.device import get_device
 from repro.ib.verbs.enums import Access, OdpMode, WcStatus
 from repro.ib.verbs.qp import QpAttrs
@@ -153,6 +154,60 @@ class TestFaultMachinery:
         result = run_microbench(config)
         assert result.errors == 0
         assert len(result.completions) == 4
+
+
+class TestStatusViewIndex:
+    """The per-QP page-status views, through the coordinator's API."""
+
+    @staticmethod
+    def setup_client(qps=3):
+        cluster, client, server = make_connected_pair(
+            client_odp=OdpMode.EXPLICIT, populate=False)
+        qpns = [client.qp.qpn] + [
+            client.pd.create_qp(send_cq=client.cq).qpn
+            for _ in range(qps - 1)]
+        return cluster, client, client.node.rnic.odp, qpns
+
+    @staticmethod
+    def ready(odp, qpn, client, page_index):
+        return odp.requester_range_ready(
+            qpn, client.mr, client.buf.addr(page_index * PAGE_SIZE), 64)
+
+    def test_prewarm_then_invalidate(self):
+        cluster, client, odp, (a, b, c) = self.setup_client()
+        odp.prewarm_views([a, b], client.mr, client.buf.addr(0),
+                          2 * PAGE_SIZE)
+        for page_index in (0, 1):
+            assert self.ready(odp, a, client, page_index)
+            assert self.ready(odp, b, client, page_index)
+            assert not self.ready(odp, c, client, page_index)
+        odp.on_page_invalidated(client.mr, client.buf.pages()[0])
+        assert not self.ready(odp, a, client, 0)
+        assert not self.ready(odp, b, client, 0)
+        assert self.ready(odp, a, client, 1)
+        assert self.ready(odp, b, client, 1)
+
+    def test_fault_and_resume_restores_only_the_faulting_qp(self):
+        cluster, client, odp, (a, b, c) = self.setup_client()
+        odp.prewarm_views([a, b], client.mr, client.buf.addr(0), PAGE_SIZE)
+        odp.on_page_invalidated(client.mr, client.buf.pages()[0])
+        fresh = odp.requester_wait_fresh(a, client.mr, client.buf.addr(0),
+                                         64)
+        assert not fresh.done
+        cluster.sim.run_until_idle()
+        assert fresh.done
+        assert self.ready(odp, a, client, 0)
+        assert not self.ready(odp, b, client, 0)
+        assert not self.ready(odp, c, client, 0)
+
+    def test_prewarm_reads_a_generator_for_every_page(self):
+        cluster, client, odp, (a, b, c) = self.setup_client()
+        odp.prewarm_views((qpn for qpn in (a, b)), client.mr,
+                          client.buf.addr(0), 3 * PAGE_SIZE)
+        for page_index in range(3):
+            assert self.ready(odp, a, client, page_index)
+            assert self.ready(odp, b, client, page_index)
+            assert not self.ready(odp, c, client, page_index)
 
 
 class TestRegistrationCost:

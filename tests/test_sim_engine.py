@@ -201,6 +201,69 @@ class TestFuture:
         assert agg.done
         assert isinstance(agg.exception, RuntimeError)
 
+    def test_all_of_already_failed_inputs_first_in_input_order_wins(self):
+        first, second = Future(), Future()
+        second.fail(KeyError("second"))
+        first.fail(ValueError("first"))
+        agg = all_of([first, second])
+        assert agg.done
+        assert isinstance(agg.exception, ValueError)
+
+    def test_all_of_failure_after_successes(self):
+        futures = [Future() for _ in range(4)]
+        agg = all_of(futures)
+        futures[0].resolve(0)
+        futures[1].resolve(1)
+        assert not agg.done
+        futures[2].fail(RuntimeError("late"))
+        assert agg.done
+        assert isinstance(agg.exception, RuntimeError)
+
+    def test_all_of_ignores_resolutions_after_failure(self):
+        futures = [Future() for _ in range(3)]
+        agg = all_of(futures)
+        futures[1].fail(ValueError("boom"))
+        futures[0].resolve(0)
+        futures[2].fail(KeyError("later"))
+        assert isinstance(agg.exception, ValueError)
+
+    def test_all_of_all_already_resolved(self):
+        futures = [Future() for _ in range(3)]
+        for i, future in enumerate(futures):
+            future.resolve(i * 10)
+        agg = all_of(futures)
+        assert agg.done
+        assert agg.result == [0, 10, 20]
+
+    def test_all_of_same_future_twice_fills_both_slots(self):
+        shared, other = Future(), Future()
+        agg = all_of([shared, other, shared])
+        other.resolve("o")
+        assert not agg.done
+        shared.resolve("s")
+        assert agg.done
+        assert agg.result == ["s", "o", "s"]
+
+    def test_all_of_work_is_linear_in_inputs(self, monkeypatch):
+        """Resolving N inputs one by one reads ``done``/``exception`` a
+        small constant number of times per input, not O(N) each."""
+        reads = [0]
+
+        def counted(name):
+            def get(future):
+                reads[0] += 1
+                return getattr(future, name)
+            return property(get)
+        monkeypatch.setattr(Future, "done", counted("_done"))
+        monkeypatch.setattr(Future, "exception", counted("_exception"))
+        n = 4000
+        futures = [Future() for _ in range(n)]
+        agg = all_of(futures)
+        for i, future in enumerate(futures):
+            future.resolve(i)
+        assert agg.result == list(range(n))
+        assert reads[0] <= 4 * n
+
 
 class TestProcess:
     def test_sleep_and_return(self):
